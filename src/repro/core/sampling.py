@@ -26,15 +26,16 @@ from repro.utils import RngLike, as_generator, check_int_at_least, check_matrix_
 
 
 class BatchedMarginInverter:
-    """All ``m`` inverse-CDF transforms in one ``searchsorted`` call.
+    """All ``m`` inverse-CDF transforms from one banded lookup table.
 
     Each margin's CDF lives in ``[0, 1]``; shifting margin ``j``'s CDF
     (and its uniforms) into the band ``[2j, 2j + 1]`` keeps the
-    concatenated CDF vector globally sorted, so a single flat
-    ``searchsorted`` answers every column of an ``(n, m)`` uniform batch
-    at once — replacing ``m`` Python-level ``margin.inverse`` calls with
-    one C-level pass.  Subtracting each band's start index recovers the
-    per-margin bin, clipped to the margin's domain exactly as
+    concatenated CDF vector globally sorted, so one flat table (the
+    persisted plan format) serves every column of an ``(n, m)`` uniform
+    batch — replacing ``m`` Python-level ``margin.inverse`` calls with
+    ``m`` C-level searches, each over its own band only.  A band's
+    search gives the bin a search of the whole table would, less the
+    band's start; it is clipped to the margin's domain exactly as
     :meth:`~repro.stats.ecdf.HistogramCDF.inverse` does.
     """
 
@@ -93,10 +94,18 @@ class BatchedMarginInverter:
                 f"expected an (n, {self.n_margins}) uniform batch, got "
                 f"shape {uniforms.shape}"
             )
-        banded = np.clip(uniforms, 0.0, 1.0) + self._bands
-        flat_bins = np.searchsorted(self._flat, banded, side="left")
-        local = flat_bins - self._starts
-        return np.clip(local, 0, self._limits).astype(np.int64)
+        # Column-major, so each margin's values and bins are contiguous.
+        banded = (np.clip(uniforms, 0.0, 1.0) + self._bands).T.copy()
+        local = np.empty(banded.shape, dtype=np.int64)
+        # The bands are disjoint: every entry of an earlier band lies
+        # below margin j's banded values and every entry of a later band
+        # above them, so searching only its own band gives the flat
+        # search's bin less the band's start.
+        for j, (start, limit) in enumerate(zip(self._starts, self._limits)):
+            band = self._flat[start : start + limit + 1]
+            bins = np.searchsorted(band, banded[j], side="left")
+            np.minimum(bins, limit, out=local[j])
+        return np.ascontiguousarray(local.T)
 
 
 def sample_pseudo_copula(

@@ -38,9 +38,10 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.dpcopula import DEFAULT_RATIO_K, DPCopulaKendall, DPCopulaMLE
+from repro.data.dataset import Dataset
 from repro.engine import (
     EngineOverloadedError,
     RequestCoalescer,
@@ -62,7 +63,11 @@ from repro.service.errors import (
 from repro.parallel import ExecutionContext
 from repro.service.jobs import FitCheckpoint, FitJob, FitWorker
 from repro.service.registry import ModelRegistry
-from repro.service.serializers import dataset_summary, dataset_to_rows
+from repro.service.serializers import (
+    dataset_summary,
+    dataset_to_rows,
+    sample_json,
+)
 from repro.telemetry import (
     TraceExporter,
     configure_logging,
@@ -670,6 +675,45 @@ class SynthesisService:
         no privacy budget — this is post-processing of an
         already-released model.
         """
+        synthetic, fields = self._draw(model_id, n, seed)
+        result = dataset_to_rows(synthetic)
+        result.update(fields)
+        return result
+
+    def sample_json(
+        self,
+        model_id: str,
+        n: Optional[int] = None,
+        seed: Optional[int] = None,
+        stage_seconds: Optional[Dict[str, float]] = None,
+    ) -> bytes:
+        """:meth:`sample`'s document as JSON bytes, for the HTTP route.
+
+        Byte-identical to ``json.dumps(self.sample(...)).encode()``, but
+        encoded straight from the record matrix
+        (:func:`~repro.service.serializers.sample_json`).  The draw and
+        the encode run under the ``serve.sample`` and ``serve.encode``
+        spans; pass a dict as ``stage_seconds`` to also receive their
+        wall-clock seconds under ``"sample"`` and ``"encode"``.
+        """
+        started = time.perf_counter()
+        with trace.span("serve.sample"):
+            synthetic, fields = self._draw(model_id, n, seed)
+        drawn = time.perf_counter()
+        with trace.span("serve.encode"):
+            body = sample_json(synthetic, fields)
+        if stage_seconds is not None:
+            stage_seconds["sample"] = drawn - started
+            stage_seconds["encode"] = time.perf_counter() - drawn
+        return body
+
+    def _draw(
+        self, model_id: str, n: Optional[int], seed: Optional[int]
+    ) -> Tuple[Dataset, Dict[str, Any]]:
+        """Validate a sample request and draw its records.
+
+        Returns the records and the response fields that follow them.
+        """
         try:
             record = self.registry.record(model_id)
         except KeyError as exc:
@@ -701,17 +745,13 @@ class SynthesisService:
             "sampled records",
             extra={"model_id": model_id, "n": n, "seconds": round(elapsed, 6)},
         )
-        result = dataset_to_rows(synthetic)
-        result.update(
-            {
-                "model_id": model_id,
-                "dataset_id": record.dataset_id,
-                "epsilon": record.epsilon,
-                "seed": seed,
-                "privacy_cost": 0.0,
-            }
-        )
-        return result
+        return synthetic, {
+            "model_id": model_id,
+            "dataset_id": record.dataset_id,
+            "epsilon": record.epsilon,
+            "seed": seed,
+            "privacy_cost": 0.0,
+        }
 
     # -- observability ----------------------------------------------------
 

@@ -34,7 +34,10 @@ The supervisor watches worker processes and respawns crashed ones with
 a capped exponential backoff (a worker that lived a while resets its
 backoff).  ``SIGTERM`` to the supervisor fans out to every worker; each
 worker stops accepting, finishes its in-flight requests and exits —
-queued fit jobs stay journaled for the next start.
+queued fit jobs stay journaled for the next start.  A worker still
+alive when :meth:`PreforkServer.stop`'s drain window closes is killed
+with SIGKILL, logged and counted in
+``dpcopula_worker_drain_overruns_total``, so a stop is bounded in time.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from dataclasses import replace
 from typing import Dict, Optional
 
 from repro.service.config import ServiceConfig
-from repro.telemetry import get_logger
+from repro.telemetry import get_logger, metrics
 from repro.telemetry.aggregate import prune_worker_snapshot
 
 __all__ = [
@@ -61,6 +64,11 @@ __all__ = [
 ]
 
 _logger = get_logger("service.prefork")
+
+_DRAIN_OVERRUNS = metrics.REGISTRY.counter(
+    "dpcopula_worker_drain_overruns_total",
+    "Pre-fork workers killed because they overran the stop drain window",
+)
 
 #: Environment override for ``--workers``, mirroring ``DPCOPULA_PARALLEL``.
 WORKERS_ENV_VAR = "DPCOPULA_WORKERS"
@@ -369,12 +377,15 @@ class PreforkServer:
         for process in self._processes.values():
             process.join(max(0.0, deadline - time.monotonic()))
         for process in self._processes.values():
-            if process.is_alive():  # pragma: no cover - drain overrun
+            if process.is_alive():
+                # SIGKILL, not SIGTERM: the worker traps SIGTERM to drain,
+                # which is what it just failed to do.
                 _logger.warning(
                     "worker did not drain in time; killing",
-                    extra={"pid": process.pid},
+                    extra={"pid": process.pid, "timeout": timeout},
                 )
-                process.terminate()
+                _DRAIN_OVERRUNS.inc()
+                process.kill()
                 process.join(2.0)
         if self._holder is not None:
             self._holder.close()

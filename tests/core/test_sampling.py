@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.sampling import sample_pseudo_copula, sample_synthetic
+from repro.core.sampling import (
+    BatchedMarginInverter,
+    sample_pseudo_copula,
+    sample_synthetic,
+)
 from repro.data.dataset import Schema
 from repro.stats.correlation import correlation_from_tau
 from repro.stats.ecdf import HistogramCDF
@@ -92,3 +96,55 @@ class TestSampleSynthetic:
             sample_synthetic(
                 np.eye(2), margins, 10, Schema.from_domain_sizes([4, 6, 2])
             )
+
+
+def flat_search(inverter, uniforms):
+    """The inverter's former single search over the whole flat table."""
+    tables = inverter.tables()
+    banded = np.clip(uniforms, 0.0, 1.0) + tables["bands"]
+    flat_bins = np.searchsorted(tables["flat"], banded, side="left")
+    local = flat_bins - tables["starts"]
+    return np.clip(local, 0, tables["limits"]).astype(np.int64)
+
+
+class TestBandedSearch:
+    """Searching each margin's own band equals the flat-table search."""
+
+    @pytest.fixture
+    def margins(self):
+        rng = np.random.default_rng(12)
+        counts = [rng.uniform(0.0, 10.0, size=size) for size in (1, 2, 7, 40, 300)]
+        # Empty bins give repeated knots, where side="left" ties matter.
+        counts[3][5:9] = 0.0
+        counts.append(np.array([0.0, 3.0, 0.0, 0.0, 1.0]))
+        return [HistogramCDF(c) for c in counts]
+
+    @pytest.fixture
+    def inverter(self, margins):
+        return BatchedMarginInverter(margins)
+
+    def test_random_uniforms(self, inverter):
+        uniforms = np.random.default_rng(3).uniform(size=(5000, inverter.n_margins))
+        result = inverter(uniforms)
+        assert result.dtype == np.int64 and result.flags.c_contiguous
+        np.testing.assert_array_equal(result, flat_search(inverter, uniforms))
+
+    @pytest.mark.parametrize(
+        "value", [0.0, 1.0, -0.5, 1.5, -np.inf, np.inf, np.nan]
+    )
+    def test_edges_and_out_of_range(self, inverter, value):
+        uniforms = np.full((3, inverter.n_margins), value)
+        np.testing.assert_array_equal(
+            inverter(uniforms), flat_search(inverter, uniforms)
+        )
+
+    def test_exact_cdf_knots(self, margins, inverter):
+        knots = [margin.cdf for margin in margins]
+        rows = max(k.size for k in knots)
+        # Every knot of every margin, each column padded with its last knot.
+        uniforms = np.column_stack(
+            [np.concatenate([k, np.full(rows - k.size, k[-1])]) for k in knots]
+        )
+        np.testing.assert_array_equal(
+            inverter(uniforms), flat_search(inverter, uniforms)
+        )

@@ -2,6 +2,8 @@
 
 import json
 import logging
+import re
+import urllib.request
 
 import pytest
 
@@ -137,6 +139,53 @@ class TestMetricsEndpoint:
             counter.value(method="GET", route="<unrouted>", status="404")
             == unrouted_before + 1
         )
+
+
+class TestSampleStageSplit:
+    """The sample route reports its draw and its encode separately."""
+
+    def _sample(self, service, client, released_model, request_id):
+        model_id = service.registry.put(
+            released_model, dataset_id="d", method="kendall"
+        ).model_id
+        request = urllib.request.Request(
+            f"{client.base}/models/{model_id}/sample",
+            data=json.dumps({"n": 500, "seed": 3}).encode(),
+            method="POST",
+            headers={"Content-Type": "application/json", "X-Request-ID": request_id},
+        )
+        with urllib.request.urlopen(request, timeout=30) as response:
+            assert response.status == 200
+            assert json.loads(response.read())["n_records"] == 500
+            return response.headers
+
+    def test_server_timing_header(self, http_service, released_model):
+        service, client = http_service
+        headers = self._sample(service, client, released_model, "timing-1")
+        match = re.fullmatch(
+            r"sample;dur=(\d+\.\d{3}), encode;dur=(\d+\.\d{3})",
+            headers["Server-Timing"],
+        )
+        assert match, headers["Server-Timing"]
+        assert float(match.group(1)) > 0 and float(match.group(2)) > 0
+
+    def test_stage_spans_reach_metrics_and_the_exported_trace(
+        self, http_service, released_model
+    ):
+        service, client = http_service
+        stages = REGISTRY.get("dpcopula_stage_seconds")
+        before = {
+            name: stages.count(stage=name)
+            for name in ("serve.sample", "serve.encode")
+        }
+        self._sample(service, client, released_model, "stage-split-1")
+        for name, count in before.items():
+            assert stages.count(stage=name) == count + 1
+        ring = service.config.traces_dir / "trace-main.jsonl"
+        records = [json.loads(line) for line in ring.read_text().splitlines()]
+        (record,) = [r for r in records if r["trace_id"] == "stage-split-1"]
+        children = [child["name"] for child in record["root"]["children"]]
+        assert children == ["serve.sample", "serve.encode"]
 
 
 class TestFailureObservability:

@@ -33,6 +33,7 @@ from repro.service import (
 )
 from repro.service.errors import QueueFullError
 from repro.service.prefork import WORKERS_ENV_VAR
+from repro.telemetry.metrics import REGISTRY
 
 
 def _fit_release(dataset, seed: int = 0) -> ReleasedModel:
@@ -55,6 +56,27 @@ def _request(port, method, path, body=None, timeout=30):
             return response.status, json.loads(response.read()), dict(response.headers)
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read()), dict(error.headers)
+
+
+def _stop_within(supervisor, seconds, **stop_kw):
+    """``supervisor.stop(**stop_kw)`` under a hard timeout.
+
+    A stop that hangs, or leaves a worker alive, fails the test after
+    SIGKILLing the survivors, instead of hanging the suite at exit.
+    """
+    processes = list(supervisor._processes.values())
+    stopper = threading.Thread(
+        target=supervisor.stop, kwargs=stop_kw, daemon=True
+    )
+    stopper.start()
+    stopper.join(seconds)
+    survivors = [process for process in processes if process.is_alive()]
+    for process in survivors:
+        os.kill(process.pid, signal.SIGKILL)
+        process.join(5)
+    assert not stopper.is_alive(), f"stop() did not return within {seconds}s"
+    assert not survivors, f"stop() left {len(survivors)} worker(s) alive"
+    return processes
 
 
 def _sample(port, model_id, n, seed):
@@ -141,6 +163,20 @@ class TestBuildServerSocketModes:
                 build_server(service, reuse_port=True, listen_socket=placeholder)
         finally:
             placeholder.close()
+
+    def test_inherited_listener_is_made_non_blocking(self, service):
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(8)
+        server = build_server(service, listen_socket=listener)
+        try:
+            assert listener.getblocking() is False
+            # The worker that loses an accept() race sees "no connection"
+            # instead of blocking until the next client arrives.
+            with pytest.raises(BlockingIOError):
+                server.get_request()
+        finally:
+            server.server_close()
 
     def test_worker_label_header(self, service):
         server = build_server(service, worker_label="7")
@@ -265,6 +301,46 @@ class TestSupervision:
         processes = list(supervisor._processes.values())
         supervisor.stop()
         assert [process.exitcode for process in processes] == [0, 0]
+
+    def test_inherited_listener_stop_is_bounded_after_connection_burst(
+        self, fleet_factory
+    ):
+        supervisor, _ = fleet_factory(2, force_inherited_socket=True)
+        overruns = REGISTRY.get("dpcopula_worker_drain_overruns_total").value()
+        statuses = []
+
+        def health():
+            statuses.append(_request(supervisor.port, "GET", "/health")[0])
+
+        # Every connection wakes both workers; only one wins each accept().
+        clients = [threading.Thread(target=health) for _ in range(64)]
+        for client in clients:
+            client.start()
+        for client in clients:
+            client.join(30)
+        for _ in range(8):
+            health()
+        assert statuses == [200] * 72
+        processes = _stop_within(supervisor, 20, timeout=10)
+        assert [process.exitcode for process in processes] == [0, 0]
+        assert (
+            REGISTRY.get("dpcopula_worker_drain_overruns_total").value()
+            == overruns
+        )
+
+    def test_stop_kills_a_worker_that_overruns_the_drain(self, fleet_factory):
+        supervisor, _ = fleet_factory(2)
+        overruns = REGISTRY.get("dpcopula_worker_drain_overruns_total").value()
+        stuck = supervisor._processes[1]
+        # A stopped process leaves SIGTERM pending: it cannot drain.
+        os.kill(stuck.pid, signal.SIGSTOP)
+        processes = _stop_within(supervisor, 20, timeout=3.0)
+        assert processes[0].exitcode == 0
+        assert stuck.exitcode == -signal.SIGKILL
+        assert (
+            REGISTRY.get("dpcopula_worker_drain_overruns_total").value()
+            == overruns + 1
+        )
 
     def test_sigkill_respawn_preserves_shared_generation(
         self, fleet_factory, small_dataset
