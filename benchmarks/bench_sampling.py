@@ -6,7 +6,7 @@ noisy margin into CDF lookup tables) and *per-request* work (three
 vectorized passes: latent normals, normal CDF, margin inversion).  The
 pre-engine serve path redid all of the per-model work on every request;
 the engine compiles it once into a :class:`~repro.engine.SamplerPlan`
-and coalesces concurrent requests into shared elementwise passes.  This
+and serves every request as one direct draw from it.  This
 benchmark times that trajectory at the paper's scalability shape
 (default m=16 attributes) for a stream of serve-sized requests —
 small draws (default 25 records, e.g. preview/inspection traffic)
@@ -17,27 +17,22 @@ where the per-model work the engine eliminates dominates wall-clock:
     rebuilding margins, repairing/factorizing the correlation matrix
     and reconstructing the inverter every time.  The fixed baseline.
 ``plan``
-    A compiled :class:`SamplerPlan` serving each request serially —
-    per-model work hoisted out of the request path.
-``engine_coalesced``
-    ``SamplerPlan.sample_batch`` over micro-batches, the execution the
-    request coalescer performs for concurrent traffic: per-request
-    latent draws (bitwise safety) with one shared normal-CDF pass and
-    one shared margin-inversion pass.
+    A compiled :class:`SamplerPlan` serving each request — per-model
+    work hoisted out of the request path.  This is the draw the service
+    runs for every sample request.
 
 Besides throughput, the run *verifies* the engine's bitwise contract:
-every plan-served request equals the pre-engine path bit for bit, and
-every coalesced request equals its serial draw bit for bit.  Results
-land in ``BENCH_sampling.json`` — the perf-trajectory ledger for the
-serve hot path.
+every plan-served request equals the pre-engine path bit for bit.
+Results land in ``BENCH_sampling.json`` — the perf-trajectory ledger
+for the serve hot path.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_sampling.py            # full (m=16)
     PYTHONPATH=src python benchmarks/bench_sampling.py --smoke    # CI-sized, asserts
 
-Exit status is non-zero if determinism breaks or the coalesced engine
-path falls short of ``--min-speedup`` over the pre-engine baseline.
+Exit status is non-zero if determinism breaks or the plan path falls
+short of ``--min-speedup`` over the pre-engine baseline.
 """
 
 from __future__ import annotations
@@ -96,14 +91,10 @@ def run(args) -> dict:
         m, requests, n = args.smoke_m, args.smoke_requests, args.smoke_n
     else:
         m, requests, n = args.m, args.requests, args.n
-    batch = args.batch
     model = make_model(m, n_records=100_000)
     plan = compile_plan(model, "bench-model", generation=1)
     total_records = requests * n
-    print(
-        f"workload: m={m}, {requests} requests x {n} records "
-        f"(coalesced batch={batch})"
-    )
+    print(f"workload: m={m}, {requests} requests x {n} records")
 
     results = {}
 
@@ -149,41 +140,10 @@ def run(args) -> dict:
         f"{results['plan']['speedup_vs_baseline']:.2f}x)"
     )
 
-    def engine_coalesced():
-        outputs = [None] * requests
-        for start in range(0, requests, batch):
-            stop = min(start + batch, requests)
-            drawn = plan.sample_batch(
-                [(n, np.random.default_rng(seed)) for seed in range(start, stop)]
-            )
-            for offset, dataset in enumerate(drawn):
-                outputs[start + offset] = dataset.values
-        return outputs
-
-    seconds, coalesced_outputs = timed(engine_coalesced, args.repeats)
-    results["engine_coalesced"] = {
-        "seconds": seconds,
-        "samples_per_second": total_records / seconds,
-        "speedup_vs_baseline": results["serve_baseline"]["seconds"] / seconds,
-        "implementation": (
-            "SamplerPlan.sample_batch micro-batches (per-request latent "
-            "draws, shared normal-CDF + margin-inversion passes)"
-        ),
-    }
-    print(
-        f"  engine_coalesced  {seconds:8.3f}s "
-        f"({results['engine_coalesced']['samples_per_second']:12.0f} samples/s, "
-        f"{results['engine_coalesced']['speedup_vs_baseline']:.2f}x)"
-    )
-
     determinism = {
         "plan_equals_baseline": all(
             np.array_equal(a, b)
             for a, b in zip(plan_outputs, baseline_outputs)
-        ),
-        "coalesced_equals_serial": all(
-            np.array_equal(a, b)
-            for a, b in zip(coalesced_outputs, plan_outputs)
         ),
     }
 
@@ -194,7 +154,6 @@ def run(args) -> dict:
             "requests": requests,
             "records_per_request": n,
             "total_records": total_records,
-            "coalesced_batch": batch,
         },
         "smoke": bool(args.smoke),
         "results": results,
@@ -212,18 +171,12 @@ def main(argv=None) -> int:
         "--n", type=int, default=25, help="records per request (default 25)"
     )
     parser.add_argument(
-        "--batch",
-        type=int,
-        default=16,
-        help="requests per coalesced micro-batch (default 16)",
-    )
-    parser.add_argument(
         "--repeats", type=int, default=3, help="timing repeats; best is kept"
     )
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="CI mode: small workload, relaxed speedup floor",
+        help="CI mode: small workload",
     )
     parser.add_argument("--smoke-m", type=int, default=8)
     parser.add_argument("--smoke-requests", type=int, default=60)
@@ -231,9 +184,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--min-speedup",
         type=float,
-        default=None,
-        help="fail if engine_coalesced is below this speedup over the "
-        "serve baseline (default 5.0, or 2.0 with --smoke)",
+        default=2.0,
+        help="fail if plan is below this speedup over the serve "
+        "baseline (default 2.0)",
     )
     parser.add_argument(
         "--output",
@@ -241,8 +194,6 @@ def main(argv=None) -> int:
         help="result JSON path (default ./BENCH_sampling.json)",
     )
     args = parser.parse_args(argv)
-    if args.min_speedup is None:
-        args.min_speedup = 2.0 if args.smoke else 5.0
 
     document = run(args)
 
@@ -250,10 +201,10 @@ def main(argv=None) -> int:
     for check, passed in document["determinism"].items():
         if not passed:
             failures.append(f"determinism violated: {check}")
-    speedup = document["results"]["engine_coalesced"]["speedup_vs_baseline"]
+    speedup = document["results"]["plan"]["speedup_vs_baseline"]
     if speedup < args.min_speedup:
         failures.append(
-            f"engine_coalesced speedup {speedup:.2f}x is below the "
+            f"plan speedup {speedup:.2f}x is below the "
             f"{args.min_speedup}x floor"
         )
 

@@ -77,7 +77,6 @@ def run_fleet(
             data_dir=Path(tmp) / "data",
             epsilon_cap=10.0,
             workers=workers,
-            shared_store_mode="mmap" if workers > 1 else "off",
         )
         config.ensure_layout()
         model_id = ModelRegistry(config.models_dir).put(

@@ -173,8 +173,8 @@ def run_observatory(args) -> dict:
 
     # Per-request observatory cost is fixed (one trace-root + one ring
     # append), so the request size sets the relative overhead.  10k-row
-    # draws match the serve path's coalesced batches; tiny draws would
-    # measure JSON encoding against nearly-free sampling.
+    # draws are a typical serve request; tiny draws would measure JSON
+    # encoding against nearly-free sampling.
     if args.smoke:
         n_fit, requests, draw_n = 10_000, 200, 10_000
     else:

@@ -300,35 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 30; 0 disables)",
     )
     serve.add_argument(
-        "--coalesce-window",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="how long the sampling engine holds a batch open for "
-        "concurrent sample requests to join (default 0: no idle wait; "
-        "requests still coalesce while a batch executes)",
-    )
-    serve.add_argument(
-        "--max-coalesced-records",
-        type=int,
-        default=262_144,
-        help="record budget per coalesced sampling batch (default 262144)",
-    )
-    serve.add_argument(
         "--sample-queue-limit",
         type=int,
         default=256,
-        help="bound on sample requests parked in the coalescer; arrivals "
-        "past it get 429 + Retry-After (default 256; 0 disables the bound)",
-    )
-    serve.add_argument(
-        "--shared-store",
-        choices=("off", "mmap", "shm"),
-        default=None,
-        help="publish compiled sampler plans for pooled workers: "
-        "memory-mapped files under <data-dir>/plans, or "
-        "multiprocessing shared memory (default: mmap when --workers > 1 "
-        "so the fleet serves one physical copy per plan, else off)",
+        help="bound on sample draws in flight; a draw past it gets "
+        "429 + Retry-After (default 256; 0 disables the bound)",
     )
     serve.add_argument(
         "--model-cache-size",
@@ -675,11 +651,6 @@ def _serve(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    shared_store = args.shared_store
-    if shared_store is None:
-        # A fleet without a shared store would compile every plan once
-        # per process; default to one mmap copy per machine instead.
-        shared_store = "mmap" if workers > 1 else "off"
     latency_buckets = None
     if args.latency_buckets:
         from repro.telemetry.metrics import parse_latency_buckets
@@ -699,10 +670,7 @@ def _serve(args) -> int:
         max_queued_fits=args.max_queued_fits or None,
         fit_timeout_seconds=args.fit_timeout,
         request_timeout_seconds=args.request_timeout or None,
-        coalesce_window_seconds=args.coalesce_window,
-        max_coalesced_records=args.max_coalesced_records,
         sample_queue_limit=args.sample_queue_limit or None,
-        shared_store_mode=shared_store,
         model_cache_size=args.model_cache_size or None,
         workers=workers,
         slow_request_seconds=args.slow_request_threshold or None,
@@ -771,7 +739,7 @@ def _serve_prefork(args, config, workers: int) -> int:
     print(f"data directory: {args.data_dir} (ε cap {args.epsilon_cap:g}/dataset)")
     print(
         f"worker 0 owns fitting ({args.fit_workers} fit worker(s)); "
-        f"shared plan store: {config.shared_store_mode}"
+        f"plans shared via {config.plans_dir}"
     )
     print(
         "endpoints: /health /healthz /metrics /budget /debug/observatory "

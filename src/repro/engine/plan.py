@@ -15,18 +15,14 @@ Bitwise contract: for the same ``np.random.Generator`` state,
 to the hot loop (Cholesky factor, inverter tables), never changes the
 operations.  (The normal-CDF push uses :func:`scipy.special.ndtr`
 directly — the exact kernel ``scipy.stats.norm.cdf`` evaluates, minus
-the distribution-dispatch overhead; the outputs are bit-identical.)  :meth:`SamplerPlan.sample_batch` extends the contract to
-coalesced execution: each request's latent block is drawn from its own
-generator and multiplied at its own shape (single-row slices of a large
-GEMM are *not* bitwise stable across BLAS kernels, so the matmul is
-deliberately per-request), while the elementwise normal-CDF and the
-``searchsorted`` margin inversion — which are slice-stable — run once
-over the whole batch.
+the distribution-dispatch overhead; the outputs are bit-identical.)
+The draw runs in blocks of ``_BLOCK_ROWS`` rows, which bounds the
+transient work arrays of a large request without changing its output.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict
 
 import numpy as np
 from scipy import special as sc
@@ -44,6 +40,10 @@ __all__ = ["SamplerPlan", "compile_plan"]
 #: their meaning changes so a stale shared store fails loudly.
 PLAN_FORMAT_VERSION = 1
 
+#: Rows per block of one draw.  Concurrent large requests each hold
+#: only one block's latent, uniform and record arrays at a time.
+_BLOCK_ROWS = 8192
+
 
 class SamplerPlan:
     """Everything Algorithm 3 needs to sample, precomputed and read-only.
@@ -54,8 +54,8 @@ class SamplerPlan:
         Registry id of the model this plan was compiled from.
     generation:
         Monotone per-model counter assigned by the registry; a hot-swap
-        bumps it, which is how shared stores and coalescers recognize
-        (and retire) stale plans.
+        bumps it, which is how the shared store recognizes (and
+        retires) stale plans.
     cholesky:
         Lower-triangular factor of the (repaired) DP correlation matrix.
     inverter:
@@ -113,66 +113,25 @@ class SamplerPlan:
 
     # -- sampling ---------------------------------------------------------
 
-    def sample(
-        self,
-        n: int,
-        rng: np.random.Generator,
-        chunk_size: Optional[int] = None,
-    ) -> Dataset:
+    def sample(self, n: int, rng: np.random.Generator) -> Dataset:
         """One request: bitwise identical to ``ReleasedModel.sample``.
 
-        ``chunk_size`` bounds the transient ``(n, m)`` work arrays
-        without changing the output (``standard_normal`` fills C-order
-        rows from one stream, so row-chunked draws consume the generator
-        identically).
+        The rows are drawn ``_BLOCK_ROWS`` at a time: ``standard_normal``
+        fills C-order rows from one stream, so row blocks consume the
+        generator exactly as one whole draw does.
         """
         check_int_at_least("n", n, 1)
-        step = n if chunk_size is None else check_int_at_least(
-            "chunk_size", chunk_size, 1
-        )
         out = np.empty((n, self.m), dtype=np.int64)
-        for start in range(0, n, step):
-            stop = min(start + step, n)
+        for start in range(0, n, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, n)
             latent = rng.standard_normal((stop - start, self.m)) @ self.cholesky.T
             out[start:stop] = self.inverter(sc.ndtr(latent))
         return Dataset(out, self.schema)
 
-    def sample_batch(
-        self, requests: Sequence[Tuple[int, np.random.Generator]]
-    ) -> List[Dataset]:
-        """Coalesced execution of many requests in one vectorized pass.
-
-        Each ``(n, generator)`` request's output is bitwise identical to
-        a serial ``self.sample(n, generator)`` call: the latent draw and
-        the Cholesky matmul run per request (their results depend on the
-        generator state and, for BLAS, on the operand shapes), while the
-        elementwise normal CDF and the banded ``searchsorted`` inversion
-        — both verified slice-stable — run once over the whole batch.
-        """
-        if not requests:
-            return []
-        sizes = [check_int_at_least("n", n, 1) for n, _ in requests]
-        total = int(sum(sizes))
-        latent = np.empty((total, self.m), dtype=float)
-        offset = 0
-        for (n, gen), size in zip(requests, sizes):
-            block = gen.standard_normal((size, self.m)) @ self.cholesky.T
-            latent[offset : offset + size] = block
-            offset += size
-        records = self.inverter(sc.ndtr(latent))
-        results: List[Dataset] = []
-        offset = 0
-        for size in sizes:
-            # Dataset copies its values, so the slice does not pin the
-            # whole batch array in memory.
-            results.append(Dataset(records[offset : offset + size], self.schema))
-            offset += size
-        return results
-
     # -- publication ------------------------------------------------------
 
     def arrays(self) -> Dict[str, np.ndarray]:
-        """The plan's numeric state, for shared stores."""
+        """The plan's numeric state, for the shared store."""
         tables = self.inverter.tables()
         return {
             "cholesky": self.cholesky,
@@ -197,7 +156,7 @@ class SamplerPlan:
     def from_arrays(
         cls, arrays: Dict[str, np.ndarray], metadata: Dict[str, Any]
     ) -> "SamplerPlan":
-        """Rebuild a plan around published arrays (mmap or shared memory).
+        """Rebuild a plan around published (memory-mapped) arrays.
 
         The arrays are used as-is — no copies — so many processes can
         serve from one physical plan.

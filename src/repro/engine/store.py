@@ -1,21 +1,15 @@
-"""Shared read-only plan stores: publish once, serve from every worker.
+"""The shared read-only plan store: publish once, serve from every worker.
 
 A compiled :class:`~repro.engine.plan.SamplerPlan` is a handful of
 read-only arrays (the Cholesky factor, the inverter's lookup tables).
-For pre-fork or pooled deployments the arrays should exist *once* per
-machine, not once per process; this module publishes them through two
-interchangeable backends:
+In a pre-fork fleet the arrays should exist *once* per machine, not
+once per process.  :class:`MmapPlanStore` saves each array as an
+individual ``.npy`` file next to a ``manifest.json`` and reloads it with
+``np.load(..., mmap_mode="r")``, so the kernel page cache backs every
+process with one physical copy.  (Individual ``.npy`` files, not an
+NPZ: ``np.load`` silently ignores ``mmap_mode`` inside a zip archive.)
 
-* :class:`MmapPlanStore` — each array saved as an individual ``.npy``
-  file next to a ``manifest.json``, reloaded with
-  ``np.load(..., mmap_mode="r")`` so the kernel page cache backs every
-  process with one physical copy.  (Individual ``.npy`` files, not an
-  NPZ: ``np.load`` silently ignores ``mmap_mode`` inside a zip archive.)
-* :class:`SharedMemoryPlanStore` — arrays copied into
-  ``multiprocessing.shared_memory`` segments; the manifest carries the
-  segment names so sibling processes can :meth:`~SharedMemoryPlanStore.attach`.
-
-Both stores key publications by ``(model_id, generation)``.  A registry
+Publications are keyed by ``(model_id, generation)``.  A registry
 hot-swap bumps the generation, so the next ``publish`` sees a different
 key, publishes the new plan and **retires** every older generation of
 that model — readers that already hold the old plan keep a valid (if
@@ -33,7 +27,6 @@ import os
 import shutil
 import threading
 import uuid
-from multiprocessing import shared_memory
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
@@ -42,11 +35,7 @@ import numpy as np
 from repro.engine.plan import SamplerPlan
 from repro.telemetry import get_logger, metrics
 
-__all__ = [
-    "MmapPlanStore",
-    "SharedMemoryPlanStore",
-    "build_plan_store",
-]
+__all__ = ["MmapPlanStore"]
 
 _logger = get_logger("engine.store")
 
@@ -211,151 +200,3 @@ class MmapPlanStore:
         """Release cached plan handles (published files stay on disk)."""
         with self._lock:
             self._cache.clear()
-
-
-class SharedMemoryPlanStore:
-    """Publishes plans into ``multiprocessing.shared_memory`` segments.
-
-    Each plan array becomes one POSIX shared-memory segment named
-    ``dpc-<pid>-<model_id>-g<generation>-<array>``; the publishing
-    process owns the segments (and unlinks them on :meth:`close` /
-    :meth:`retire`), sibling processes :meth:`attach` by manifest.
-    """
-
-    backend = "shm"
-
-    def __init__(self, prefix: Optional[str] = None):
-        import os
-
-        self.prefix = prefix if prefix is not None else f"dpc-{os.getpid()}"
-        self._lock = threading.Lock()
-        # model_id -> (generation, shared plan, manifest, segments)
-        self._published: Dict[str, Tuple[int, SamplerPlan, Dict[str, Any], list]] = {}
-
-    def _segment_name(self, model_id: str, generation: int, array: str) -> str:
-        return f"{self.prefix}-{model_id}-g{generation}-{array}"
-
-    def publish(self, plan: SamplerPlan) -> SamplerPlan:
-        """Copy the plan's arrays into shared memory (idempotent per generation)."""
-        with self._lock:
-            existing = self._published.get(plan.model_id)
-            if existing is not None:
-                if existing[0] == plan.generation:
-                    return existing[1]
-                self._unlink_locked(plan.model_id)
-                _RETIRED.inc(backend=self.backend)
-            manifest: Dict[str, Any] = dict(plan.metadata())
-            manifest["arrays"] = {}
-            segments = []
-            arrays: Dict[str, np.ndarray] = {}
-            try:
-                for name, array in plan.arrays().items():
-                    contiguous = np.ascontiguousarray(array)
-                    segment = shared_memory.SharedMemory(
-                        name=self._segment_name(plan.model_id, plan.generation, name),
-                        create=True,
-                        size=max(contiguous.nbytes, 1),
-                    )
-                    segments.append(segment)
-                    view = np.ndarray(
-                        contiguous.shape, dtype=contiguous.dtype, buffer=segment.buf
-                    )
-                    view[...] = contiguous
-                    arrays[name] = view
-                    manifest["arrays"][name] = {
-                        "segment": segment.name,
-                        "dtype": str(contiguous.dtype),
-                        "shape": list(contiguous.shape),
-                    }
-            except BaseException:
-                for segment in segments:
-                    segment.close()
-                    try:
-                        segment.unlink()
-                    except FileNotFoundError:  # pragma: no cover
-                        pass
-                raise
-            shared = SamplerPlan.from_arrays(arrays, manifest)
-            self._published[plan.model_id] = (
-                plan.generation,
-                shared,
-                manifest,
-                segments,
-            )
-            _PUBLISHED.inc(backend=self.backend)
-            return shared
-
-    def manifest(self, model_id: str) -> Dict[str, Any]:
-        """The attach manifest for a published model (JSON-serializable)."""
-        with self._lock:
-            entry = self._published.get(model_id)
-            if entry is None:
-                raise KeyError(f"no plan published for model {model_id!r}")
-            return json.loads(json.dumps(entry[2]))
-
-    @classmethod
-    def attach(cls, manifest: Dict[str, Any]) -> Tuple[SamplerPlan, list]:
-        """Map a sibling publisher's segments into this process.
-
-        Returns the shared plan plus the list of ``SharedMemory``
-        handles the caller must keep alive (and ``close()`` when done)
-        — dropping them invalidates the plan's array views.
-        """
-        segments = []
-        arrays: Dict[str, np.ndarray] = {}
-        try:
-            for name, spec in manifest["arrays"].items():
-                segment = shared_memory.SharedMemory(name=spec["segment"])
-                segments.append(segment)
-                arrays[name] = np.ndarray(
-                    tuple(spec["shape"]), dtype=spec["dtype"], buffer=segment.buf
-                )
-        except BaseException:
-            for segment in segments:
-                segment.close()
-            raise
-        return SamplerPlan.from_arrays(arrays, manifest), segments
-
-    def _unlink_locked(self, model_id: str) -> None:
-        entry = self._published.pop(model_id, None)
-        if entry is None:
-            return
-        for segment in entry[3]:
-            segment.close()
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-
-    def retire(self, model_id: str) -> None:
-        """Unlink every segment of ``model_id``'s published plan."""
-        with self._lock:
-            if model_id in self._published:
-                self._unlink_locked(model_id)
-                _RETIRED.inc(backend=self.backend)
-
-    def close(self) -> None:
-        """Unlink every published segment (publisher-side teardown)."""
-        with self._lock:
-            for model_id in list(self._published):
-                self._unlink_locked(model_id)
-
-
-def build_plan_store(mode: str, directory=None):
-    """Factory for the service config's ``shared_store_mode`` knob.
-
-    ``"off"`` returns ``None`` (plans stay process-local), ``"mmap"``
-    builds a :class:`MmapPlanStore` under ``directory``, ``"shm"`` a
-    :class:`SharedMemoryPlanStore`.
-    """
-    if mode == "off":
-        return None
-    if mode == "mmap":
-        if directory is None:
-            raise ValueError("mmap plan store needs a directory")
-        return MmapPlanStore(directory)
-    if mode == "shm":
-        return SharedMemoryPlanStore()
-    raise ValueError(
-        f"shared_store_mode must be 'off', 'mmap' or 'shm', got {mode!r}"
-    )

@@ -23,10 +23,15 @@ the same funnel the range-query evaluator uses.  The two paths agree
 exactly on equivalent inputs (asserted by tests).
 
 Error convention: with ``p`` the original's cell proportions and ``q``
-the source's (each normalized by its own record count; answerer counts
-are normalized by the original's), the per-marginal error is
+the source's, the per-marginal error is
 
 ``TVD = ½ · Σ_cells |p − q|``  (and ``L1 = Σ |p − q| = 2 · TVD``).
+
+Both are distributions, so the TVD lies in ``[0, 1]``.  A dataset's
+proportions are its cell counts over its record count; an answerer's
+noisy cell counts are projected onto the simplex first — clipped at 0
+and renormalized to sum to 1, uniform when nothing is left — which is
+post-processing of the released structure and costs no ε.
 
 :func:`gaussian_copula_pair_probabilities` computes the two-way cell
 probabilities a released Gaussian-copula model *implies* (bivariate
@@ -190,19 +195,25 @@ def marginal_probabilities(dataset: Dataset, marginal: KWayMarginal) -> np.ndarr
 
 
 def _source_probabilities(
-    source: AnswerSource,
-    marginal: KWayMarginal,
-    schema: Schema,
-    reference_records: int,
+    source: AnswerSource, marginal: KWayMarginal, schema: Schema
 ) -> np.ndarray:
-    """Cell proportions of any answer source, via the uniform funnel."""
+    """Cell proportions of any answer source, via the uniform funnel.
+
+    Answerer counts may be negative or sum to anything; clipping and
+    renormalizing them (post-processing, zero ε) makes them a
+    distribution, so the TVD stays in ``[0, 1]``.
+    """
     if isinstance(source, Dataset):
         return marginal_probabilities(source, marginal)
     answer = as_answer_function(source)
     counts = np.array(
         [answer(query) for query in marginal.cell_queries(schema)], dtype=float
     )
-    return counts.reshape(marginal.shape) / float(max(reference_records, 1))
+    counts = np.clip(counts, 0.0, None).reshape(marginal.shape)
+    total = counts.sum()
+    if total <= 0:
+        return np.full(marginal.shape, 1.0 / counts.size)
+    return counts / total
 
 
 @dataclass(frozen=True)
@@ -260,7 +271,8 @@ def evaluate_marginals(
 
     ``source`` follows the range-query evaluator's contract: a synthetic
     dataset (normalized by its own record count), a sanitized structure
-    or a callable (counts normalized by the original's record count).
+    or a callable (counts clipped at 0 and normalized to sum to 1).
+    Every TVD is therefore in ``[0, 1]``.
     """
     if not len(marginals):
         raise ValueError("cannot evaluate an empty marginal workload")
@@ -268,7 +280,7 @@ def evaluate_marginals(
     tvds: Dict[Tuple[int, ...], float] = {}
     for marginal in marginals:
         p = marginal_probabilities(actual, marginal)
-        q = _source_probabilities(source, marginal, schema, actual.n_records)
+        q = _source_probabilities(source, marginal, schema)
         tvds[marginal.attributes] = 0.5 * float(np.abs(p - q).sum())
     return MarginalEvaluation(
         k=max(marginal.k for marginal in marginals), tvds=tvds

@@ -42,12 +42,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.dpcopula import DEFAULT_RATIO_K, DPCopulaKendall, DPCopulaMLE
 from repro.data.dataset import Dataset
-from repro.engine import (
-    EngineOverloadedError,
-    RequestCoalescer,
-    SamplingEngine,
-    build_plan_store,
-)
+from repro.engine import EngineOverloadedError, MmapPlanStore, SamplingEngine
 from repro.io import ReleasedModel
 from repro.resilience.journal import JobJournal, JobRecord
 from repro.resilience.retry import RetryPolicy, call_with_retry, mark_no_retry
@@ -148,17 +143,14 @@ class SynthesisService:
             config.models_dir, max_cached_models=config.model_cache_size
         )
         self.accountant = PrivacyAccountant(config.ledger_path, config.epsilon_cap)
-        # The sampling engine: compiled plans from the registry, arrays
-        # optionally re-homed in a shared read-only store, concurrent
-        # requests coalesced into one vectorized draw (docs/PERFORMANCE.md).
+        # The sampling engine: compiled plans from the registry, one
+        # direct draw per request (docs/PERFORMANCE.md).  A pre-fork
+        # fleet serves every plan from one memory-mapped copy under
+        # <data_dir>/plans; a single process keeps its plans local.
         self.engine = SamplingEngine(
             self.registry.get_plan,
-            coalescer=RequestCoalescer(
-                window_seconds=config.coalesce_window_seconds,
-                max_batch_records=config.max_coalesced_records,
-                max_pending_requests=config.sample_queue_limit,
-            ),
-            store=build_plan_store(config.shared_store_mode, config.plans_dir),
+            max_in_flight=config.sample_queue_limit,
+            store=MmapPlanStore(config.plans_dir) if config.multi_worker else None,
         )
         self.journal = JobJournal(config.jobs_dir)
         # One stateless execution context serves every fit worker; each
@@ -669,9 +661,8 @@ class SynthesisService:
 
         Served by the sampling engine: the model's compiled
         :class:`~repro.engine.plan.SamplerPlan` does the per-model work
-        once, and concurrent requests coalesce into one vectorized draw
-        — bitwise identical per request to an uncoalesced serial draw,
-        so a seeded request always reproduces the same records.  Costs
+        once, and each request is one direct draw from it, so a seeded
+        request always reproduces the same records.  Costs
         no privacy budget — this is post-processing of an
         already-released model.
         """
@@ -804,7 +795,7 @@ class SynthesisService:
         ).set(queue_depth)
         metrics.REGISTRY.gauge(
             "dpcopula_engine_pending_requests",
-            "Sample requests parked in the coalescer awaiting a batch",
+            "Sample draws in flight in the sampling engine",
         ).set(self.engine.pending())
         metrics.REGISTRY.gauge(
             "dpcopula_registry_cached_models",

@@ -9,6 +9,7 @@ Everything the service persists lives under one data directory::
         models/<id>.json       model metadata sidecars
         jobs/<id>.json         durable fit-job journal records
         jobs/<id>.<stage>.npz  fit stage checkpoints (resume-after-crash)
+        plans/<id>/gen-<N>/    memory-mapped sampler plans (pre-fork)
         ledger.jsonl           append-only privacy-spend journal
         traces/trace-*.jsonl   per-worker trace-export ring files
         observatory/           utility-probe results + drift events
@@ -139,25 +140,9 @@ class ServiceConfig:
         Per-connection socket timeout for the HTTP server: a client that
         stalls mid-request is disconnected instead of pinning a handler
         thread forever.  ``None`` disables the timeout.
-    coalesce_window_seconds:
-        How long the sampling engine holds a batch open for concurrent
-        sample requests to join (see :mod:`repro.engine.coalesce`).
-        ``0`` (the default) adds no idle latency — requests still
-        coalesce whenever they arrive while a batch executes.
-    max_coalesced_records:
-        Record budget per coalesced sampling batch; bounds the transient
-        work arrays one vectorized draw materializes.
     sample_queue_limit:
-        Bound on sample requests parked in the coalescer across all
-        models.  Arrivals beyond it get HTTP 429 + ``Retry-After``.
-        ``None`` disables the bound.
-    shared_store_mode:
-        How compiled sampler plans are published for pooled/pre-fork
-        workers: ``"off"`` (process-local, the default), ``"mmap"``
-        (memory-mapped files under ``<data_dir>/plans``) or ``"shm"``
-        (``multiprocessing.shared_memory`` segments).  Pre-fork serving
-        (``workers > 1``) defaults to ``"mmap"`` at the CLI so every
-        worker serves one physical copy of each compiled plan.
+        Bound on sample draws in flight across all models.  A draw past
+        it gets HTTP 429 + ``Retry-After``.  ``None`` disables the bound.
     model_cache_size:
         LRU bound on released models (and their compiled plans) the
         registry keeps in memory.  ``None`` caches without bound.
@@ -165,7 +150,10 @@ class ServiceConfig:
         Number of pre-fork HTTP worker processes the deployment runs.
         1 (the default) is the single-process server.  The value is
         recorded on every worker's config so each process knows the
-        fleet size (metrics aggregation, journal polling).
+        fleet size (metrics aggregation, journal polling).  A fleet
+        (``workers > 1``) publishes compiled sampler plans as
+        memory-mapped files under ``<data_dir>/plans``, so every worker
+        serves one physical copy of each plan.
     worker_index:
         This process's index within a pre-fork fleet, or ``None`` for
         the single-process server.  Worker 0 is the **fit owner**: it
@@ -215,10 +203,7 @@ class ServiceConfig:
     max_queued_fits: Optional[int] = 32
     fit_timeout_seconds: Optional[float] = None
     request_timeout_seconds: Optional[float] = 30.0
-    coalesce_window_seconds: float = 0.0
-    max_coalesced_records: int = 262_144
     sample_queue_limit: Optional[int] = 256
-    shared_store_mode: str = "off"
     model_cache_size: Optional[int] = 128
     workers: int = 1
     worker_index: Optional[int] = None

@@ -38,10 +38,10 @@ budget refused, 405 wrong method, 429 fit queue full *or* sampling
 engine overloaded (with a ``Retry-After`` header carrying the backoff
 hint in seconds).
 
-Sampling requests are served by the engine (:mod:`repro.engine`):
-concurrent requests against the same model coalesce into one vectorized
-draw, with per-request bitwise determinism — the thread-per-request
-model pairs naturally with the coalescer's leader/follower hand-off.
+Sampling requests are served by the engine (:mod:`repro.engine`): each
+handler thread makes one direct draw from the model's compiled plan,
+bitwise determined by the request's seed; concurrent draws share only
+read-only plan arrays.
 
 Hardening: each connection runs under the config's
 ``request_timeout_seconds`` socket timeout, so a stalled client cannot

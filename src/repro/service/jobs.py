@@ -381,12 +381,12 @@ class FitWorker:
                 )
                 continue
             if self._cancelled_before_start(job):
-                job.status = JobStatus.CANCELLED
                 job.error = "cancelled before start"
                 job.finished_at = time.time()
                 self._journal_update(
                     job.job_id, state="cancelled", error=job.error
                 )
+                job.status = JobStatus.CANCELLED
                 _JOBS_TOTAL.inc(status=JobStatus.CANCELLED)
                 _logger.info(
                     "fit job cancelled before start", extra={"job_id": job.job_id}
@@ -402,6 +402,8 @@ class FitWorker:
                 self._journal_update(
                     job.job_id, state="running", attempts=attempts + 1
                 )
+            # Each outcome is journaled before job.status turns terminal,
+            # so whoever sees a finished job finds that state durable.
             with bind_context(job_id=job.job_id):
                 _logger.info(
                     "fit job started",
@@ -411,10 +413,10 @@ class FitWorker:
                     job.model_id = self._run_job(job)
                 except JobCancelledError as exc:
                     job.error = str(exc)
-                    job.status = JobStatus.CANCELLED
                     self._journal_update(
                         job.job_id, state="cancelled", error=job.error
                     )
+                    job.status = JobStatus.CANCELLED
                     _JOBS_TOTAL.inc(status=JobStatus.CANCELLED)
                     _logger.info(
                         "fit job cancelled",
@@ -422,10 +424,10 @@ class FitWorker:
                     )
                 except DeadlineExceeded as exc:
                     job.error = f"DeadlineExceeded: {exc}"
-                    job.status = JobStatus.FAILED
                     self._journal_update(
                         job.job_id, state="failed", error=job.error
                     )
+                    job.status = JobStatus.FAILED
                     _FIT_ERRORS.inc(stage="deadline")
                     _JOBS_TOTAL.inc(status=JobStatus.FAILED)
                     _logger.warning(
@@ -441,10 +443,10 @@ class FitWorker:
                     # clients; the log carries the full traceback the
                     # summary used to swallow.
                     job.error = f"{type(exc).__name__}: {exc}"
-                    job.status = JobStatus.FAILED
                     self._journal_update(
                         job.job_id, state="failed", error=job.error
                     )
+                    job.status = JobStatus.FAILED
                     _FIT_ERRORS.inc(stage="fit_job")
                     _JOBS_TOTAL.inc(status=JobStatus.FAILED)
                     _logger.exception(
@@ -452,10 +454,10 @@ class FitWorker:
                         extra={"dataset": job.dataset_id, "method": job.method},
                     )
                 else:
-                    job.status = JobStatus.DONE
                     self._journal_update(
                         job.job_id, state="done", model_id=job.model_id
                     )
+                    job.status = JobStatus.DONE
                     if self.journal is not None:
                         self.journal.drop_stages(job.job_id)
                     _JOBS_TOTAL.inc(status=JobStatus.DONE)

@@ -38,10 +38,15 @@ queued fit jobs stay journaled for the next start.  A worker still
 alive when :meth:`PreforkServer.stop`'s drain window closes is killed
 with SIGKILL, logged and counted in
 ``dpcopula_worker_drain_overruns_total``, so a stop is bounded in time.
+:meth:`PreforkServer.start` registers :meth:`~PreforkServer.stop` with
+:mod:`atexit`, so a process that exits without stopping its fleet still
+drains it instead of hanging in multiprocessing's join of the
+non-daemon workers.
 """
 
 from __future__ import annotations
 
+import atexit
 import multiprocessing
 import os
 import signal
@@ -224,6 +229,9 @@ class PreforkServer:
         """Bind the port, fork every worker, wait until all are serving."""
         if self._holder is not None:
             raise RuntimeError("PreforkServer already started")
+        # Runs before multiprocessing's own exit handler (atexit is
+        # LIFO), which would otherwise join the workers forever.
+        atexit.register(self.stop)
         self._holder = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         if self.reuse_port:
             self._holder.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
@@ -372,6 +380,7 @@ class PreforkServer:
         if self._stopped:
             return
         self._stopped = True
+        atexit.unregister(self.stop)
         self.request_stop()
         deadline = time.monotonic() + timeout
         for process in self._processes.values():

@@ -18,8 +18,8 @@ Each cache entry carries the model's compiled
 every model id has a monotonically increasing **generation** number.
 :meth:`ModelRegistry.replace` hot-swaps a model's released state in
 place and bumps the generation, which is how downstream plan consumers
-(the sampling engine's shared stores and coalescer) atomically retire
-stale plans.
+(the sampling engine's shared plan store) atomically retire stale
+plans.
 
 Generations are **durable and cross-process**: the sidecar records the
 current generation, and every cache hit re-checks the sidecar's stat
@@ -390,8 +390,8 @@ class ModelRegistry:
         """The model's compiled sampler plan (the engine's plan provider).
 
         Compiled once per cached model — generation-tagged so the
-        engine's shared stores and coalescer can retire a plan the
-        moment :meth:`replace` swaps the model underneath it.
+        engine's shared plan store can retire a plan the moment
+        :meth:`replace` swaps the model underneath it.
         """
         return self._entry(model_id).plan
 

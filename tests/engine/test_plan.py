@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy import special
 
 from repro.engine import SamplerPlan, compile_plan
+from repro.engine.plan import _BLOCK_ROWS
 
 
 class TestCompile:
@@ -43,38 +45,24 @@ class TestSampleBitwise:
         assert compiled.schema == baseline.schema
 
     def test_chunked_equals_single_pass(self, plan):
-        whole = plan.sample(301, np.random.default_rng(7))
-        chunked = plan.sample(301, np.random.default_rng(7), chunk_size=64)
-        np.testing.assert_array_equal(whole.values, chunked.values)
+        """The blocked draw equals one unblocked pass over every row."""
+        n = 2 * _BLOCK_ROWS + 301
+        rng = np.random.default_rng(7)
+        latent = rng.standard_normal((n, plan.m)) @ plan.cholesky.T
+        single_pass = plan.inverter(special.ndtr(latent))
+        blocked = plan.sample(n, np.random.default_rng(7))
+        np.testing.assert_array_equal(blocked.values, single_pass)
+
+    def test_multi_block_matches_released_model_sample(self, plan, released_model):
+        """A draw spanning several blocks reproduces the uncompiled path."""
+        assert 20_000 > 2 * _BLOCK_ROWS
+        baseline = released_model.sample(20_000, rng=np.random.default_rng(3))
+        compiled = plan.sample(20_000, np.random.default_rng(3))
+        np.testing.assert_array_equal(compiled.values, baseline.values)
 
     def test_invalid_n_rejected(self, plan):
         with pytest.raises(ValueError, match="n must be"):
             plan.sample(0, np.random.default_rng(0))
-
-
-class TestSampleBatch:
-    def test_each_request_bitwise_equals_serial(self, plan):
-        """Coalesced slices must be bitwise identical to serial draws."""
-        sizes = [100, 1, 250, 37]
-        batched = plan.sample_batch(
-            [(n, np.random.default_rng(1000 + i)) for i, n in enumerate(sizes)]
-        )
-        for i, (n, result) in enumerate(zip(sizes, batched)):
-            serial = plan.sample(n, np.random.default_rng(1000 + i))
-            np.testing.assert_array_equal(result.values, serial.values)
-            assert result.n_records == n
-
-    def test_empty_batch(self, plan):
-        assert plan.sample_batch([]) == []
-
-    def test_slices_are_independent_copies(self, plan):
-        """Per-request datasets must not alias the shared batch array."""
-        first, second = plan.sample_batch(
-            [(10, np.random.default_rng(1)), (10, np.random.default_rng(2))]
-        )
-        assert first.values.base is None or not np.shares_memory(
-            first.values, second.values
-        )
 
 
 class TestPublication:

@@ -1,14 +1,9 @@
-"""Shared plan stores: bitwise fidelity, generation retirement, lifecycle."""
+"""The shared plan store: bitwise fidelity, generation retirement, lifecycle."""
 
 import numpy as np
 import pytest
 
-from repro.engine import (
-    MmapPlanStore,
-    SharedMemoryPlanStore,
-    build_plan_store,
-    compile_plan,
-)
+from repro.engine import MmapPlanStore, compile_plan
 
 
 class TestMmapStore:
@@ -64,78 +59,9 @@ class TestMmapStore:
         )
 
 
-class TestSharedMemoryStore:
-    def test_published_plan_samples_bitwise(self, plan):
-        store = SharedMemoryPlanStore(prefix="dpc-test-bitwise")
-        try:
-            shared = store.publish(plan)
-            local = plan.sample(300, np.random.default_rng(11))
-            segment = shared.sample(300, np.random.default_rng(11))
-            np.testing.assert_array_equal(local.values, segment.values)
-        finally:
-            store.close()
-
-    def test_attach_from_manifest(self, plan):
-        """A sibling can map the segments by manifest alone."""
-        store = SharedMemoryPlanStore(prefix="dpc-test-attach")
-        try:
-            store.publish(plan)
-            manifest = store.manifest(plan.model_id)
-            attached, handles = SharedMemoryPlanStore.attach(manifest)
-            try:
-                np.testing.assert_array_equal(
-                    attached.sample(100, np.random.default_rng(4)).values,
-                    plan.sample(100, np.random.default_rng(4)).values,
-                )
-            finally:
-                for handle in handles:
-                    handle.close()
-        finally:
-            store.close()
-
-    def test_generation_bump_replaces_segments(
-        self, released_model, make_released_model
-    ):
-        store = SharedMemoryPlanStore(prefix="dpc-test-swap")
-        try:
-            store.publish(compile_plan(released_model, "m-1", generation=1))
-            swapped = compile_plan(
-                make_released_model(epsilon=2.0, seed=1), "m-1", generation=2
-            )
-            shared = store.publish(swapped)
-            assert shared.generation == 2
-            assert store.manifest("m-1")["generation"] == 2
-        finally:
-            store.close()
-
-    def test_manifest_unknown_model(self):
-        store = SharedMemoryPlanStore(prefix="dpc-test-miss")
-        try:
-            with pytest.raises(KeyError):
-                store.manifest("nope")
-        finally:
-            store.close()
-
-
-class TestFactory:
-    def test_modes(self, tmp_path):
-        assert build_plan_store("off") is None
-        mmap_store = build_plan_store("mmap", tmp_path / "plans")
-        assert isinstance(mmap_store, MmapPlanStore)
-        shm_store = build_plan_store("shm")
-        assert isinstance(shm_store, SharedMemoryPlanStore)
-        shm_store.close()
-
-    def test_invalid_mode(self, tmp_path):
-        with pytest.raises(ValueError, match="shared_store_mode"):
-            build_plan_store("nfs", tmp_path)
-        with pytest.raises(ValueError, match="directory"):
-            build_plan_store("mmap")
-
-
 # -- separate-process attachment ------------------------------------------
 #
-# The stores exist for pre-fork fleets, so the contract that matters is
+# The store exists for pre-fork fleets, so the contract that matters is
 # cross-*process*: a true child process (fork) attaches to a publication
 # it did not create and samples bitwise identically.
 
@@ -151,20 +77,6 @@ def _mmap_attach_child(directory, model_id, n, seed, out_queue):
         out_queue.put((plan.generation, data.values.tobytes(), data.values.shape))
     finally:
         store.close()
-
-
-def _shm_attach_child(manifest, n, seed, out_queue):
-    import numpy as np
-
-    from repro.engine import SharedMemoryPlanStore
-
-    plan, segments = SharedMemoryPlanStore.attach(manifest)
-    try:
-        data = plan.sample(n, np.random.default_rng(seed))
-        out_queue.put((plan.generation, data.values.tobytes(), data.values.shape))
-    finally:
-        for segment in segments:
-            segment.close()
 
 
 def _run_child(target, args, timeout=60):
@@ -201,20 +113,5 @@ class TestSeparateProcessAttach:
         try:
             with pytest.raises(KeyError):
                 store.load("never-published")
-        finally:
-            store.close()
-
-    def test_shm_store_attaches_from_child_process(self, plan):
-        store = SharedMemoryPlanStore(prefix="dpc-test-xproc")
-        try:
-            store.publish(plan)
-            manifest = store.manifest(plan.model_id)
-            generation, raw, shape = _run_child(
-                _shm_attach_child, (manifest, 90, 13)
-            )
-            assert generation == plan.generation
-            local = plan.sample(90, np.random.default_rng(13)).values
-            child = np.frombuffer(raw, dtype=np.int64).reshape(shape)
-            np.testing.assert_array_equal(child, local)
         finally:
             store.close()

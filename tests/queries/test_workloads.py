@@ -4,8 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.dataset import Dataset, Schema
+from repro.experiments import runner
 from repro.histograms.base import DenseNoisyHistogram
 from repro.queries.workloads import (
     KWayMarginal,
@@ -203,3 +206,43 @@ class TestGaussianCopulaPairProbabilities:
         )
         assert cells[0].sum() == pytest.approx(0.0, abs=1e-12)
         assert cells.sum() == pytest.approx(1.0)
+
+
+_ALL_METHODS = sorted(runner._METHODS)
+
+
+class TestTVDBounded:
+    """Every method's marginal TVD is a distance between distributions."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        rng = np.random.default_rng(31)
+        latent = rng.multivariate_normal(
+            [0, 0, 0], [[1, 0.6, 0.2], [0.6, 1, 0.4], [0.2, 0.4, 1]], size=300
+        )
+        values = np.clip(((latent + 3) / 6 * [24, 16, 6]).astype(int), 0, [23, 15, 5])
+        return Dataset(values, Schema.from_domain_sizes([24, 16, 6]))
+
+    @pytest.mark.parametrize("name", _ALL_METHODS)
+    @settings(max_examples=4, deadline=None)
+    @given(
+        epsilon=st.sampled_from([0.01, 0.1, 1.0]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_tvd_in_unit_interval(self, data, name, epsilon, seed):
+        marginals = [m for k in (1, 2) for m in all_kway(data.schema, k, bins=6)]
+        # The 2-D-only grid methods score on the first two attributes.
+        if name in ("ug", "ag"):
+            data = data.project([0, 1])
+            marginals = all_kway(data.schema, 2, bins=6)
+        method = runner.make_method(name)
+        assert method.supports(data)
+        source = method.fit(data, epsilon, rng=seed)
+        evaluation = evaluate_marginals(source, marginals, data)
+        assert all(0.0 <= tvd <= 1.0 for tvd in evaluation.tvds.values())
+
+    def test_all_negative_answers_fall_back_to_uniform(self, data):
+        marginals = all_kway(data.schema, 1, bins=6)
+        evaluation = evaluate_marginals(lambda query: -5.0, marginals, data)
+        uniform = evaluate_marginals(lambda query: 1.0, marginals, data)
+        assert evaluation.tvds == uniform.tvds

@@ -12,6 +12,8 @@ import json
 import os
 import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -92,7 +94,6 @@ def fleet_factory(tmp_path):
     started = []
 
     def _start(workers, model=None, force_inherited_socket=False, **config_kw):
-        config_kw.setdefault("shared_store_mode", "mmap")
         config = ServiceConfig(
             data_dir=tmp_path / "data",
             epsilon_cap=10.0,
@@ -342,6 +343,36 @@ class TestSupervision:
             == overruns + 1
         )
 
+    def test_exit_without_stop_does_not_hang(self, tmp_path):
+        """A process that never calls stop() still exits: atexit drains."""
+        script = (
+            "import sys\n"
+            "from repro.service import PreforkServer, ServiceConfig\n"
+            "config = ServiceConfig(data_dir=sys.argv[1], workers=1)\n"
+            "supervisor = PreforkServer(config, port=0).start(timeout=60)\n"
+            "print(*supervisor.alive_workers().values(), flush=True)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        child = subprocess.Popen(
+            [sys.executable, "-c", script, str(tmp_path / "data")],
+            stdout=subprocess.PIPE,
+            env=env,
+            start_new_session=True,
+        )
+        try:
+            out, _ = child.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            out = b""
+        finally:
+            # Whatever happened, leave no process of the child's session.
+            try:
+                os.killpg(child.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            child.wait(5)
+        assert out.split(), "the fleet did not start, or exit hung"
+        assert child.returncode == 0
+
     def test_sigkill_respawn_preserves_shared_generation(
         self, fleet_factory, small_dataset
     ):
@@ -451,7 +482,6 @@ class TestFollowerService:
             epsilon_cap=10.0,
             workers=2,
             worker_index=0,
-            shared_store_mode="mmap",
             **kw,
         )
         return owner, replace(owner, worker_index=1)

@@ -1,9 +1,10 @@
 """Service-level tests for the sampling engine wiring.
 
-The engine internals (plans, coalescer, stores) are unit-tested under
-``tests/engine/``; these tests pin the service-facing contract: bitwise
-per-request determinism under concurrency, the overload → 429 mapping,
-and the shared-store / cache-bound configuration knobs.
+The engine internals (plans, the in-flight bound, the plan store) are
+unit-tested under ``tests/engine/``; these tests pin the service-facing
+contract: bitwise per-request determinism under concurrency, the
+overload → 429 mapping, and how the worker count and cache bound
+configure the engine.
 """
 
 import threading
@@ -33,7 +34,7 @@ class TestDeterminism:
         assert response["records"] == expected.values.tolist()
 
     def test_concurrent_seeded_requests_bitwise_stable(self, service_with_model):
-        """Same seed, same records — regardless of coalescing with peers."""
+        """Same seed, same records — whatever runs concurrently."""
         service, model_id, _ = service_with_model
         seeds = list(range(10))
         expected = {
@@ -78,21 +79,36 @@ class TestOverloadMapping:
         assert excinfo.value.retry_after == 2.5
 
 
+def _sample_once(data_dir, released_model, workers):
+    """Serve one seeded draw; return the records and the expected ones."""
+    service = SynthesisService(ServiceConfig(data_dir=data_dir, workers=workers))
+    try:
+        service.registry.put(
+            released_model, dataset_id="d", method="kendall", model_id="m1"
+        )
+        expected = released_model.sample(80, rng=np.random.default_rng(7))
+        response = service.sample("m1", n=80, seed=7)
+        return response["records"], expected.values.tolist()
+    finally:
+        service.close()
+
+
 class TestConfigurationKnobs:
     def test_mmap_store_mode_serves_bitwise(self, tmp_path, released_model):
-        service = SynthesisService(
-            ServiceConfig(data_dir=tmp_path / "data", shared_store_mode="mmap")
-        )
-        try:
-            service.registry.put(
-                released_model, dataset_id="d", method="kendall", model_id="m1"
-            )
-            expected = released_model.sample(80, rng=np.random.default_rng(7))
-            response = service.sample("m1", n=80, seed=7)
-            assert response["records"] == expected.values.tolist()
-            assert (tmp_path / "data" / "plans" / "m1" / "gen-1").exists()
-        finally:
-            service.close()
+        """A fleet member serves from the memory-mapped plan, bitwise."""
+        records, expected = _sample_once(tmp_path / "data", released_model, 2)
+        assert records == expected
+        assert (tmp_path / "data" / "plans" / "m1" / "gen-1").exists()
+
+    def test_plan_store_follows_worker_count(self, tmp_path, released_model):
+        """workers > 1 publishes plans under plans/; one process publishes none."""
+        fleet, single = tmp_path / "fleet", tmp_path / "single"
+        _sample_once(fleet, released_model, 2)
+        records, expected = _sample_once(single, released_model, 1)
+        assert records == expected
+        assert list((fleet / "plans").iterdir())
+        plans = single / "plans"
+        assert not plans.exists() or not list(plans.iterdir())
 
     def test_model_cache_bound_flows_to_registry(self, tmp_path):
         service = SynthesisService(
@@ -109,5 +125,5 @@ class TestConfigurationKnobs:
         snapshot = service.metrics_snapshot()
         assert "dpcopula_engine_pending_requests" in snapshot
         assert "dpcopula_registry_cached_models" in snapshot
-        assert "dpcopula_coalesced_batch_size" in snapshot
+        assert snapshot["dpcopula_engine_pending_requests"]["series"][0]["value"] == 0
         assert snapshot["dpcopula_engine_sample_seconds"]["series"][0]["count"] >= 1
